@@ -13,8 +13,9 @@
 //! faster than the B-link tree in (b) at every thread count.
 
 use btree::ConcurrentBTree;
+use parking_lot::Mutex;
 use pio_bench::{ratio, scaled, setup, us, Table};
-use pio_btree::{ConcurrentPioBTree, PioConfig};
+use pio_btree::{PioBTree, PioConfig};
 use ssd_sim::DeviceProfile;
 use workload::{TpccConfig, TpccTraceGenerator, TraceOp};
 
@@ -192,7 +193,7 @@ fn main() {
                     ConcurrentBTree::new(btree::bulk_load(store, &entries, 0.7).expect("bulk load"))
                 })
                 .collect();
-            let cpio: Vec<ConcurrentPioBTree> = initial
+            let cpio: Vec<Mutex<PioBTree>> = initial
                 .iter()
                 .map(|keys| {
                     let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
@@ -203,8 +204,8 @@ fn main() {
                         storage::WritePolicy::WriteThrough,
                         64 << 30,
                     );
-                    ConcurrentPioBTree::new(
-                        pio_btree::PioBTree::bulk_load(store, &entries, pio_config(pool_pages / relations as u64))
+                    Mutex::new(
+                        PioBTree::bulk_load(store, &entries, pio_config(pool_pages / relations as u64))
                             .expect("bulk load"),
                     )
                 })
@@ -258,24 +259,26 @@ fn main() {
                     for op in round {
                         match *op {
                             TraceOp::Search { relation, key } => searches[relation].push(key),
-                            TraceOp::Insert { relation, key, value } => cpio[relation].insert(key, value).unwrap(),
-                            TraceOp::Delete { relation, key } => cpio[relation].delete(key).unwrap(),
+                            TraceOp::Insert { relation, key, value } => {
+                                cpio[relation].lock().insert(key, value).unwrap()
+                            }
+                            TraceOp::Delete { relation, key } => cpio[relation].lock().delete(key).unwrap(),
                             TraceOp::RangeSearch { relation, lo, hi } => {
-                                cpio[relation].range_search(lo, hi).unwrap();
+                                cpio[relation].lock().range_search(lo, hi).unwrap();
                             }
                         }
                     }
                     for (r, keys) in searches.iter().enumerate() {
                         if !keys.is_empty() {
-                            cpio[r].concurrent_search(keys).unwrap();
+                            cpio[r].lock().multi_search(keys).unwrap();
                         }
                     }
                 }
                 for t in &cpio {
-                    t.checkpoint().unwrap();
+                    t.lock().checkpoint().unwrap();
                 }
             };
-            let pio_io = || cpio.iter().map(|t| t.with_tree(|x| x.io_elapsed_us())).sum::<f64>();
+            let pio_io = || cpio.iter().map(|t| t.lock().io_elapsed_us()).sum::<f64>();
             let mut replay = replay_pio;
             let pio_ms = elapsed(&pio_io, &mut replay) / 1e3;
 

@@ -5,7 +5,7 @@
 //! pays page-at-a-time inner-node reads through the store. The inner levels of
 //! a B+-tree are tiny compared to the leaf level (a fraction `1/fanout` of the
 //! index), so this module pins them in memory outright, the way FB+-tree and
-//! BS-tree keep their inner levels in memory-optimized, latch-free-read form:
+//! BS-tree keep their inner levels in memory-optimized form:
 //!
 //! * **Immutable snapshots.** A [`InnerSnapshot`] is a frozen copy of *all*
 //!   internal nodes (root page, height, decoded nodes). It is never mutated —
@@ -14,14 +14,12 @@
 //!   bupdate (updates buffer in the OPQ between flushes), so a snapshot
 //!   rebuilt at each flush-commit point is *exactly* current until the next
 //!   flush.
-//! * **Optimistic version-validated reads.** [`InnerTier`] publishes snapshots
-//!   through a seqlock-style epoch counter: the version is bumped to an odd
-//!   value while a swap is in progress and to the next even value after it.
-//!   Readers load the version, grab the current `Arc` (a `try_lock` on the
-//!   one-pointer slot — they spin-retry instead of parking if they catch a
-//!   publisher mid-swap), re-load the version and retry if it moved. Retries
-//!   are counted in [`InnerTierStats::retries`]. Probing the snapshot itself
-//!   is pure in-memory walking outside any lock.
+//! * **A locked one-pointer slot.** [`InnerTier`] holds the current snapshot
+//!   as an `Arc` behind a mutex. Publishing swaps the `Arc`; a probe clones it
+//!   and walks the snapshot outside the lock, so the lock covers a pointer
+//!   copy and nothing else. In the engine every prober and publisher already
+//!   holds the shard's tree lock, so the slot is never contended there; loads
+//!   that do find it held are counted in [`InnerTierStats::retries`].
 //! * **Fallback, not a correctness dependency.** Every caller passes the
 //!   root/height it believes current; a cold, over-budget or stale tier
 //!   returns `None` and the caller falls back to the ticketed
@@ -32,10 +30,11 @@
 
 use crate::mpsearch::LeafLocation;
 use btree::{InternalNode, Key, Node};
+use parking_lot::Mutex;
 use pio::IoResult;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use storage::{CachedStore, PageId};
 
 /// Monotonic counters of an [`InnerTier`].
@@ -49,7 +48,7 @@ pub struct InnerTierStats {
     pub misses: u64,
     /// Snapshots successfully rebuilt and published.
     pub rebuilds: u64,
-    /// Optimistic-read retries (reader caught a publish in flight).
+    /// Snapshot loads that found the slot held and waited for it.
     pub retries: u64,
 }
 
@@ -127,10 +126,7 @@ impl InnerSnapshot {
 pub struct InnerTier {
     /// Page budget; 0 disables the tier entirely.
     budget_pages: u64,
-    /// Seqlock epoch: odd while a publish is in progress, even when stable.
-    version: AtomicU64,
-    /// The published snapshot. The mutex guards only the `Arc` store/clone —
-    /// readers use `try_lock` and count a retry instead of parking.
+    /// The published snapshot. The mutex guards only the `Arc` swap/clone.
     slot: Mutex<Option<Arc<InnerSnapshot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -143,7 +139,6 @@ impl InnerTier {
     pub fn new(budget_pages: u64) -> Self {
         Self {
             budget_pages,
-            version: AtomicU64::new(0),
             slot: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -172,36 +167,17 @@ impl InnerTier {
         }
     }
 
-    /// Optimistically loads the current snapshot: version-validated, retrying
-    /// (counted) on a torn swap, never parking. `None` when the tier is cold.
+    /// Loads the current snapshot; `None` when the tier is cold. A load that
+    /// finds the slot held counts a retry, then waits for it.
     pub fn load(&self) -> Option<Arc<InnerSnapshot>> {
         if !self.enabled() {
             return None;
         }
-        loop {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                // Publish in progress: retry rather than wait.
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = match self.slot.try_lock() {
-                Ok(guard) => guard.clone(),
-                Err(_) => {
-                    // Publisher (or a sibling reader) holds the slot: retry.
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    std::hint::spin_loop();
-                    continue;
-                }
-            };
-            let v2 = self.version.load(Ordering::Acquire);
-            if v1 != v2 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            return snap;
-        }
+        let slot = self.slot.try_lock().unwrap_or_else(|| {
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            self.slot.lock()
+        });
+        slot.clone()
     }
 
     /// Loads the snapshot **iff** it matches the caller's current root and
@@ -264,14 +240,9 @@ impl InnerTier {
         }
     }
 
-    /// Publishes a snapshot (or `None` to go cold) through the seqlock
-    /// protocol. Publishers are serialised by the slot mutex; the odd/even
-    /// version bumps happen inside it so readers can detect a racing swap.
+    /// Publishes a snapshot (or `None` to go cold) by swapping the slot.
     pub fn publish(&self, snapshot: Option<Arc<InnerSnapshot>>) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        self.version.fetch_add(1, Ordering::AcqRel); // → odd: swap in progress
-        *slot = snapshot;
-        self.version.fetch_add(1, Ordering::AcqRel); // → even: stable
+        *self.slot.lock() = snapshot;
     }
 
     /// Drops the snapshot: every probe until the next rebuild falls back.
@@ -417,13 +388,19 @@ mod tests {
         assert!(locs.iter().all(|l| l.leaf == root && l.path.is_empty()));
     }
 
-    /// The seqlock hammer: publishers republish in a tight loop while reader
-    /// threads probe. Every probe must be exact against one of the two
-    /// alternating snapshots, and the retry counter must actually fire.
+    /// The publish hammer: a publisher alternates between a hand-built
+    /// snapshot and a rebuilt one while reader threads probe, so loads contend
+    /// with swaps on the slot. Every probe must be exact against the snapshot
+    /// it loaded. The run is fixed in size: a fixed number of publishes, and
+    /// every reader makes at least a fixed number of probe rounds, the last
+    /// one after the final publish.
     #[test]
     fn concurrent_publish_hammer_exercises_retries_with_exact_results() {
+        const PUBLISHES: usize = 4_000;
+        const MIN_ROUNDS: u64 = 200;
+        const READERS: usize = 4;
         let (store, root, leaves) = fixture();
-        let tier = Arc::new(InnerTier::new(16));
+        let tier = InnerTier::new(16);
         tier.rebuild_from(&store, root, 3).unwrap();
         // An alternative root with the separator moved: key 60 routes to
         // leaves[2] instead of leaves[1].
@@ -446,47 +423,47 @@ mod tests {
                 Node::decode(&store.read_page(alt_root).unwrap()).expect_internal(),
             )]),
         });
-        let main = tier.load().unwrap();
 
-        let stop = Arc::new(AtomicU64::new(0));
-        let mut readers = Vec::new();
-        for _ in 0..4 {
-            let tier = Arc::clone(&tier);
-            let stop = Arc::clone(&stop);
-            let (root, alt_root) = (root, alt_root);
-            let leaves = leaves.clone();
-            readers.push(std::thread::spawn(move || {
-                let mut probes = 0u64;
-                while stop.load(Ordering::Acquire) == 0 {
-                    // Probe whichever snapshot is current; each answer must be
-                    // exact for that snapshot's root.
-                    if let Some(leaf) = tier.probe_leaf(root, 3, 60) {
-                        assert_eq!(leaf, leaves[1], "main snapshot routes 60 → leaves[1]");
-                        probes += 1;
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(READERS + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    start.wait();
+                    let (mut rounds, mut probes) = (0u64, 0u64);
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        // Probe whichever snapshot is current; each answer must
+                        // be exact for that snapshot's root.
+                        if let Some(leaf) = tier.probe_leaf(root, 3, 60) {
+                            assert_eq!(leaf, leaves[1], "main snapshot routes 60 → leaves[1]");
+                            probes += 1;
+                        }
+                        if let Some(leaf) = tier.probe_leaf(alt_root, 2, 60) {
+                            assert_eq!(leaf, leaves[2], "alt snapshot routes 60 → leaves[2]");
+                            probes += 1;
+                        }
+                        rounds += 1;
+                        if finished && rounds >= MIN_ROUNDS {
+                            break;
+                        }
                     }
-                    if let Some(leaf) = tier.probe_leaf(alt_root, 2, 60) {
-                        assert_eq!(leaf, leaves[2], "alt snapshot routes 60 → leaves[2]");
-                        probes += 1;
-                    }
-                }
-                assert!(probes > 0, "reader never observed a snapshot");
-            }));
-        }
-        // Publisher: flip between the two snapshots as fast as possible until
-        // the readers have demonstrably collided with a swap.
-        let mut flips = 0u64;
-        while tier.stats().retries == 0 && flips < 5_000_000 {
-            tier.publish(Some(Arc::clone(&alt)));
-            tier.publish(Some(Arc::clone(&main)));
-            flips += 2;
-        }
-        stop.store(1, Ordering::Release);
-        for r in readers {
-            r.join().unwrap();
-        }
+                    assert!(probes > 0, "reader never observed a snapshot");
+                });
+            }
+            start.wait();
+            for _ in 0..PUBLISHES / 2 {
+                tier.publish(Some(Arc::clone(&alt)));
+                tier.rebuild_from(&store, root, 3).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        let stats = tier.stats();
+        assert_eq!(stats.rebuilds, 1 + PUBLISHES as u64 / 2, "every rebuild published");
+        assert!(stats.hits > 0, "readers must have probed warm snapshots");
         assert!(
-            tier.stats().retries > 0,
-            "hammer never exercised the optimistic-retry path ({flips} flips)"
+            stats.hits + stats.misses >= 2 * MIN_ROUNDS * READERS as u64,
+            "every reader makes its minimum number of probe rounds"
         );
     }
 }

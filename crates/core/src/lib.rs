@@ -21,9 +21,10 @@
 //!   and `(L_opt, O_opt)` auto-tuning procedure of Section 3.6;
 //! * **crash recovery** (Section 3.4) — logical redo logs, flush event and flush undo
 //!   logs over a write-ahead log, a no-steal OPQ flush policy and an ARIES-style
-//!   redo/undo recovery pass;
-//! * **a concurrent variant** (Section 4) using the paper's simple locking scheme
-//!   (shared searches, exclusive OPQ sort/flush).
+//!   redo/undo recovery pass.
+//!
+//! A tree takes `&mut self` for every operation; callers that share one across
+//! threads put it behind a lock, as the sharded engine does per shard.
 //!
 //! ## Depth-adaptive ticket pipelines
 //!
@@ -47,9 +48,9 @@
 //! first, falling back to the ticketed `locate_leaves` wavefront only when the
 //! tier is cold or stale (startup, recovery, migration import). Snapshots are
 //! republished at the only points where the structure can change (flush
-//! commit, recovery, bulk load) through a seqlock-style version counter, so
-//! concurrent readers validate optimistically and retry instead of taking
-//! latches. [`PioConfig::leaf_cache_pages`] independently installs a
+//! commit, recovery, bulk load) by swapping one `Arc` in a locked slot; a
+//! probe clones that `Arc` and walks the snapshot outside the lock.
+//! [`PioConfig::leaf_cache_pages`] independently installs a
 //! scan-resistant leaf-region cache ([`storage::LeafCache`]) on the store, so
 //! a warm tree can serve hot point lookups without any descent I/O while
 //! `range_search` streams bypass the cache's admission. Both default to 0
@@ -80,7 +81,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
 pub mod config;
 pub mod cost;
 pub mod entry;
@@ -92,7 +92,6 @@ pub mod opq;
 pub mod recovery;
 pub mod tree;
 
-pub use concurrent::ConcurrentPioBTree;
 pub use config::{PioConfig, PioConfigBuilder, PipelineDepth};
 pub use cost::{recommended_shards, CostModel, ShardTuning, WorkloadMix};
 pub use entry::{OpEntry, OpKind};

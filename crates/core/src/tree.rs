@@ -69,7 +69,7 @@ pub struct PioStats {
     pub inner_tier_misses: u64,
     /// Inner-tier snapshots rebuilt and published.
     pub inner_tier_rebuilds: u64,
-    /// Optimistic-read retries against the inner tier's snapshot epoch.
+    /// Inner-tier snapshot loads that found the slot held and waited for it.
     pub inner_tier_retries: u64,
 }
 

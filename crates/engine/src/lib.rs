@@ -12,10 +12,9 @@
 //!   the layout the paper's Figure 4(b) shows behaves like independent psync
 //!   streams;
 //! * a **router** splits `multi_search` / `insert_batch` / `range_search` requests
-//!   by shard and hands them to a persistent per-shard worker pool driven by one
-//!   event-driven scheduler thread (zero threads spawned per call); completions
-//!   are reaped as they land, collected by shard index, and stitched back into
-//!   caller order;
+//!   by shard and hands each shard's task to that shard's persistent worker
+//!   thread (zero threads spawned per call); the caller collects its own
+//!   completions by shard index and stitches them back into caller order;
 //! * a **background maintenance worker** drains shard OPQs at a configurable fill
 //!   threshold, moving bupdate flushes off the foreground critical path;
 //! * [`EngineStats`] aggregates per-shard [`pio_btree::PioStats`], buffer-pool hit
@@ -24,7 +23,7 @@
 //!   directly measurable;
 //! * engine-wide **memory budgets** — [`EngineConfig`]'s `inner_tier_bytes`
 //!   pins each shard's inner levels in memory ([`pio_btree::inner_tier`]:
-//!   immutable snapshots, seqlock-style optimistic reads, republished at flush
+//!   immutable snapshots behind a locked slot, republished at flush
 //!   commits and re-pinned by the maintenance tick after crashes/migrations),
 //!   and `leaf_cache_bytes` gives leaf regions a scan-resistant segmented-LRU
 //!   cache; both divide across shards, are validated (non-zero, page-multiple)
@@ -202,11 +201,11 @@ pub mod config;
 pub mod epoch;
 mod maintenance;
 pub mod rebalance;
-mod scheduler;
 pub mod sharded;
 pub mod stats;
 pub mod target;
 pub mod topology;
+mod workers;
 
 pub use builder::EngineBuilder;
 pub use config::{EngineConfig, EngineConfigBuilder, RebalanceConfig};

@@ -1,5 +1,5 @@
 //! The sharded PIO engine: key-range partitioning and the cross-shard parallel
-//! request scheduler.
+//! fan-out.
 //!
 //! ## Partitioning
 //!
@@ -12,36 +12,33 @@
 //! analogue of the paper's one-index-per-file layout, which Figure 4(b) shows
 //! behaves like independent psync streams.
 //!
-//! ## Scheduling
+//! ## Fan-out
 //!
 //! Batch entry points (`multi_search`, `insert_batch`, `range_search`,
-//! `checkpoint`, `maintain_once`) split their work by shard and hand it to a
-//! **persistent worker pool**: one long-lived thread per shard, fed over channels
-//! by a single event-driven scheduler thread that submits each shard's task and
-//! reaps completions as they land (the `scheduler` module). Batched calls spawn
-//! **zero** threads. Because the stores simulate time rather than sleep,
-//! cross-shard overlap is accounted explicitly: when a call's last completion
-//! lands, the scheduler adds the **maximum** of the participating shards'
-//! simulated I/O deltas to the schedule makespan
-//! ([`crate::EngineStats::scheduled_io_us`]), while the sum of all deltas remains
-//! visible as `total_io_us`. The ratio of the two is the measured overlap win.
-//! Results are always collected by shard index — never by completion order — so
-//! fan-outs are deterministic.
+//! `checkpoint`, `maintain_once`) split their work by shard and hand each task to
+//! that shard's **persistent worker thread** (the `workers` module). The calling
+//! thread then waits for its own completions. Batched calls spawn **zero**
+//! threads. Because the stores simulate time rather than sleep, cross-shard
+//! overlap is accounted explicitly: once a call's last completion lands, the
+//! caller adds the **maximum** of the participating shards' simulated I/O deltas
+//! to the schedule makespan ([`crate::EngineStats::scheduled_io_us`]), while the
+//! sum of all deltas remains visible as `total_io_us`. The ratio of the two is
+//! the measured overlap win. Results are always collected by shard index — never
+//! by completion order — so fan-outs are deterministic.
 
 use crate::builder::EngineBuilder;
 use crate::config::EngineConfig;
 use crate::epoch::{EngineRecoveryReport, EpochLog, MigrationSpec};
 use crate::maintenance::MaintenanceWorker;
-use crate::scheduler::{SchedMsg, SchedulerPool, ShardTask, TaskOutput};
 use crate::stats::{EngineStats, ShardSnapshot};
 use crate::topology::{EngineBackends, EngineManifest, ShardMeta, ShardProvisioner};
+use crate::workers::{ShardTask, ShardWorkers, TaskOutput};
 use btree::{Key, Value};
 use parking_lot::{Mutex, RwLock};
 use pio::{IoQueue, IoResult, ParallelIo};
 use pio_btree::{OpEntry, OpKind, PioBTree, PioConfig, PioStats};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use storage::{CachedStore, LeafCacheStats, Lsn, PageStore, Wal, WritePolicy};
 
@@ -49,7 +46,8 @@ use storage::{CachedStore, LeafCacheStats, Lsn, PageStore, Wal, WritePolicy};
 /// stored here — ranges live in the engine's [`RoutingState`] so a boundary
 /// migration can move them without touching the shard itself.
 pub(crate) struct Shard {
-    tree: Mutex<PioBTree>,
+    /// Shared with the shard's worker thread, which runs fan-out tasks on it.
+    tree: Arc<Mutex<PioBTree>>,
     /// Point-request sub-batches this shard received through the batched entry
     /// points (`multi_search` / `insert_batch`) over the engine's lifetime.
     batched_calls: AtomicU64,
@@ -156,7 +154,7 @@ impl ShardHealth {
 impl Shard {
     fn new(tree: PioBTree) -> Self {
         Self {
-            tree: Mutex::new(tree),
+            tree: Arc::new(Mutex::new(tree)),
             batched_calls: AtomicU64::new(0),
             batched_ops: AtomicU64::new(0),
             routed_since: AtomicU64::new(0),
@@ -253,8 +251,8 @@ impl EpochCoordinator {
     }
 }
 
-/// Shared state between the engine handle, the per-shard workers, the scheduler
-/// and the background maintenance worker.
+/// Shared state between the engine handle, the fan-out callers and the
+/// background maintenance worker.
 pub(crate) struct EngineInner {
     shards: Vec<Shard>,
     /// The live routing table (bounds + in-flight migration); see
@@ -282,10 +280,9 @@ pub(crate) struct EngineInner {
     discarded_epochs: AtomicU64,
     /// Accumulated schedule makespan in µs (see the module docs).
     scheduled_us: Mutex<f64>,
-    /// Sender into the scheduler's event loop (installed right after the pool is
-    /// spawned during engine construction).
-    sched_tx: Mutex<Option<Sender<SchedMsg>>>,
-    /// Fan-outs dispatched through the scheduler over the engine's lifetime.
+    /// The per-shard worker threads that run fan-out tasks.
+    pub(crate) workers: ShardWorkers,
+    /// Fan-outs dispatched to the shard workers over the engine's lifetime.
     scheduled_batches: AtomicU64,
     /// Splits (hot shard cut at a median key) completed over the lifetime.
     splits: AtomicU64,
@@ -324,25 +321,7 @@ impl EngineInner {
         *self.last_maintenance_error.lock() = Some(error.to_string());
     }
 
-    /// Number of shards (used by the scheduler to size its worker pool).
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The lock guarding one shard's tree (workers lock it to run their task).
-    pub(crate) fn shard_tree(&self, shard: usize) -> &Mutex<PioBTree> {
-        &self.shards[shard].tree
-    }
-
-    /// A handle into the scheduler's event loop.
-    pub(crate) fn scheduler(&self) -> Sender<SchedMsg> {
-        self.sched_tx
-            .lock()
-            .clone()
-            .expect("scheduler pool is attached during engine construction")
-    }
-
-    /// Counts one completed fan-out (called by the scheduler).
+    /// Counts one completed fan-out.
     pub(crate) fn note_scheduled_batch(&self) {
         self.scheduled_batches.fetch_add(1, Ordering::Relaxed);
     }
@@ -411,19 +390,18 @@ impl EngineInner {
     }
 }
 
-/// A key-range-sharded PIO B-tree engine with a cross-shard parallel scheduler.
+/// A key-range-sharded PIO B-tree engine with cross-shard parallel fan-out.
 ///
 /// All operations take `&self`; per-shard trees are behind their own mutexes, so
-/// client threads operating on different shards proceed concurrently (unlike
-/// [`pio_btree::ConcurrentPioBTree`], whose single lock serialises every update).
-/// Batched calls are dispatched through a persistent per-shard worker pool driven
-/// by one event-driven scheduler thread — no threads are spawned per call.
+/// client threads operating on different shards proceed concurrently (unlike a
+/// single `Mutex<PioBTree>`, which serialises every operation). Batched calls
+/// hand one task per shard to that shard's persistent worker thread and collect
+/// the completions on the calling thread — no threads are spawned per call.
 pub struct ShardedPioEngine {
     // Field order is drop order: the maintenance worker stops first (it issues
-    // fan-outs), then the scheduler pool (which joins the shard workers), and only
-    // then the shared state they all reference.
+    // fan-outs), then the shared state, whose worker pool drains and joins the
+    // shard workers.
     worker: Option<MaintenanceWorker>,
-    scheduler: SchedulerPool,
     inner: Arc<EngineInner>,
 }
 
@@ -432,7 +410,6 @@ impl std::fmt::Debug for ShardedPioEngine {
         f.debug_struct("ShardedPioEngine")
             .field("shards", &self.inner.shards.len())
             .field("bounds", &self.inner.routing.read().bounds)
-            .field("scheduler", &self.scheduler.is_running())
             .field("background_maintenance", &self.worker.is_some())
             .finish()
     }
@@ -779,7 +756,7 @@ impl ShardedPioEngine {
     }
 
     /// Shared tail of [`ShardedPioEngine::assemble`] / [`ShardedPioEngine::reopen`]:
-    /// wires up the scheduler pool and the optional maintenance worker.
+    /// spawns the shard workers and the optional maintenance worker.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         config: EngineConfig,
@@ -792,6 +769,7 @@ impl ShardedPioEngine {
         dirty: bool,
     ) -> Self {
         let shard_count = shards.len();
+        let workers = ShardWorkers::spawn(shards.iter().map(|s| Arc::clone(&s.tree)));
         let inner = Arc::new(EngineInner {
             shards,
             routing: RwLock::new(RoutingState {
@@ -811,7 +789,7 @@ impl ShardedPioEngine {
             recovered_epochs: AtomicU64::new(0),
             discarded_epochs: AtomicU64::new(0),
             scheduled_us: Mutex::new(build_makespan_us),
-            sched_tx: Mutex::new(None),
+            workers,
             scheduled_batches: AtomicU64::new(0),
             splits: AtomicU64::new(0),
             merges: AtomicU64::new(0),
@@ -826,16 +804,10 @@ impl ShardedPioEngine {
             maintenance_errors: AtomicU64::new(0),
             last_maintenance_error: Mutex::new(None),
         });
-        let (scheduler, sched_tx) = SchedulerPool::spawn(&inner);
-        *inner.sched_tx.lock() = Some(sched_tx);
         let worker = config
             .maintenance_interval_ms
             .map(|ms| MaintenanceWorker::spawn(Arc::clone(&inner), std::time::Duration::from_millis(ms)));
-        Self {
-            worker,
-            scheduler,
-            inner,
-        }
+        Self { worker, inner }
     }
 
     // ------------------------------------------------------------------ accessors --
@@ -994,7 +966,7 @@ impl ShardedPioEngine {
         let mut total: u64 = self.inner.count_entries_tasked()?;
         // The underlying half-open range scan cannot see `Key::MAX` itself, so the
         // sentinel key is counted with a point lookup in its owning (last) shard —
-        // routed through the scheduler so its I/O is charged like any other lookup.
+        // charged to the schedule like any other single-key lookup.
         if self.inner.single(Key::MAX, |tree| tree.search(Key::MAX))?.is_some() {
             total += 1;
         }
@@ -1135,7 +1107,7 @@ impl EngineInner {
         }
     }
 
-    /// Fans an operation out to *every* shard through the scheduler and returns
+    /// Fans an operation out to *every* shard and returns
     /// the results in shard order.
     fn fan_out_all(
         &self,
@@ -1147,7 +1119,7 @@ impl EngineInner {
                 (i, Box::new(move |tree: &mut PioBTree| op(tree)) as ShardTask)
             })
             .collect();
-        // Scheduler results are already sorted by shard index.
+        // Fan-out results are already sorted by shard index.
         Ok(self.fan_out_tasks(work)?.into_iter().map(|(_, out)| out).collect())
     }
 
@@ -1329,7 +1301,7 @@ impl EngineInner {
                 })
             })
             .collect();
-        // Scheduler results arrive sorted by shard index, and shard order is key
+        // Fan-out results arrive sorted by shard index, and shard order is key
         // order: concatenation keeps the result sorted.
         let results = self.fan_out_tasks(work)?;
         drop(routing);
@@ -2318,17 +2290,19 @@ mod tests {
         for k in 0..200u64 {
             engine.insert(k * 5 % 1_000, k).unwrap();
         }
-        // Wait (bounded) for the worker to drain the queues.
+        // Wait (bounded) for the worker to drain the queues *and* count the pass:
+        // a pass drains the OPQs inside its fan-out but bumps the counter only
+        // after the fan-out returns.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let queued = engine.stats().queued_ops;
-            if queued < 40 || std::time::Instant::now() > deadline {
-                assert!(queued < 40, "worker should have drained the OPQs, {queued} left");
-                break;
+        let stats = loop {
+            let stats = engine.stats();
+            if (stats.queued_ops < 40 && stats.maintenance_flushes >= 1) || std::time::Instant::now() > deadline {
+                break stats;
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let stats = engine.stats();
+        };
+        let queued = stats.queued_ops;
+        assert!(queued < 40, "worker should have drained the OPQs, {queued} left");
         assert!(stats.maintenance_flushes >= 1);
         assert_eq!(stats.maintenance_errors, 0);
         assert!(stats.last_maintenance_error.is_none());

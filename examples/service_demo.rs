@@ -123,7 +123,7 @@ fn main() {
         engine_stats.pool_hit_ratio * 100.0
     );
     println!(
-        "inner tier hit rate {:.1}% ({} rebuilds, {} optimistic retries), \
+        "inner tier hit rate {:.1}% ({} rebuilds, {} contended loads), \
          leaf cache hit rate {:.1}% ({} scan bypasses)",
         engine_stats.inner_tier_hit_rate() * 100.0,
         engine_stats.rollup.inner_tier_rebuilds,

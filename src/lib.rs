@@ -13,7 +13,7 @@
 //! * [`flash_indexes`] — BFTL and FD-tree baselines.
 //! * [`workload`] — synthetic and TPC-C-like workload generators.
 //! * [`engine`] — the sharded PIO engine: key-range-partitioned PIO B-tree shards
-//!   behind a cross-shard parallel request scheduler.
+//!   behind a cross-shard parallel fan-out.
 
 pub use btree;
 pub use engine;

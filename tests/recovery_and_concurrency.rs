@@ -1,13 +1,14 @@
 //! Integration: crash recovery across flushes — deterministic cases plus a
-//! randomized crash-point sweep — and multi-threaded use of the concurrent
-//! index variants.
+//! randomized crash-point sweep — and multi-threaded use of a PIO B-tree behind
+//! one lock, cross-checked against the concurrent B-link tree.
 
 mod common;
 
 use btree::ConcurrentBTree;
 use common::crash::seeded_rng;
+use parking_lot::Mutex;
 use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, ParallelIo, SimPsyncIo};
-use pio_btree::{ConcurrentPioBTree, PioBTree, PioConfig};
+use pio_btree::{PioBTree, PioConfig};
 use rand::Rng;
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
@@ -251,7 +252,7 @@ fn concurrent_trees_serve_many_threads() {
         .bcnt(256)
         .pool_pages(128)
         .build();
-    let pio = Arc::new(ConcurrentPioBTree::new(
+    let pio = Arc::new(Mutex::new(
         PioBTree::create(DeviceProfile::Iodrive, 1 << 30, config).unwrap(),
     ));
     let io = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::Iodrive, 1 << 30));
@@ -261,6 +262,13 @@ fn concurrent_trees_serve_many_threads() {
         storage::WritePolicy::WriteBack,
     ));
     let blink = Arc::new(ConcurrentBTree::new(btree::BPlusTree::new(store).unwrap()));
+    // A checkpointed base population the threads read while others insert.
+    const BASE: u64 = 600;
+    for key in 1_000_000..1_000_000 + BASE {
+        pio.lock().insert(key, key).unwrap();
+        blink.insert(key, key).unwrap();
+    }
+    pio.lock().checkpoint().unwrap();
 
     let mut handles = Vec::new();
     for thread in 0..6u64 {
@@ -269,11 +277,16 @@ fn concurrent_trees_serve_many_threads() {
         handles.push(std::thread::spawn(move || {
             for i in 0..400u64 {
                 let key = thread * 100_000 + i;
-                pio.insert(key, i).unwrap();
+                pio.lock().insert(key, i).unwrap();
                 blink.insert(key, i).unwrap();
                 if i % 10 == 0 {
-                    assert_eq!(pio.search(key).unwrap(), Some(i));
+                    assert_eq!(pio.lock().search(key).unwrap(), Some(i));
                     assert_eq!(blink.search(key).unwrap(), Some(i));
+                }
+                if i % 10 == 5 {
+                    let base = 1_000_000 + (thread * 97 + i * 7) % BASE;
+                    assert_eq!(pio.lock().search(base).unwrap(), Some(base));
+                    assert_eq!(blink.search(base).unwrap(), Some(base));
                 }
             }
         }));
@@ -281,12 +294,18 @@ fn concurrent_trees_serve_many_threads() {
     for h in handles {
         h.join().unwrap();
     }
+    let mut pio = pio.lock();
     pio.checkpoint().unwrap();
     blink.flush().unwrap();
+    assert_eq!(
+        pio.stats().inserts,
+        BASE + 6 * 400,
+        "every insert from every thread counted"
+    );
     // Cross-check both concurrent structures agree after the storm.
     for thread in 0..6u64 {
         let keys: Vec<u64> = (0..400).step_by(37).map(|i| thread * 100_000 + i).collect();
-        let a = pio.concurrent_search(&keys).unwrap();
+        let a = pio.multi_search(&keys).unwrap();
         let b = blink.concurrent_search(&keys).unwrap();
         assert_eq!(a, b);
         assert!(a.iter().all(|r| r.is_some()));

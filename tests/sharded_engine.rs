@@ -208,12 +208,12 @@ fn concurrent_clients_hammer_the_engine() {
 }
 
 /// Persistent-worker hammer: many client threads issue *interleaved batched
-/// calls* (which all flow through the one scheduler thread and the per-shard
-/// workers) while the background maintenance sweeper runs its own fan-outs
+/// calls* (whose tasks all flow through the per-shard workers) while the
+/// background maintenance sweeper runs its own fan-outs
 /// concurrently. Every fan-out's results must come back keyed by shard index —
 /// i.e. `multi_search` answers in caller order — no matter which shard's worker
-/// finishes first, and the engine must dispatch every batched call through the
-/// scheduler rather than spawning threads.
+/// finishes first, and the engine must dispatch every batched call to the
+/// shard workers rather than spawning threads.
 #[test]
 fn scheduler_hammer_with_interleaved_batched_calls() {
     let mut cfg = config(4);
@@ -257,10 +257,10 @@ fn scheduler_hammer_with_interleaved_batched_calls() {
     engine.checkpoint().unwrap();
 
     let stats = engine.stats();
-    // Every batched call above went through the persistent scheduler.
+    // Every batched call above went through the persistent shard workers.
     assert!(
         stats.scheduled_batches >= threads * rounds * 2,
-        "batched calls must be dispatched through the scheduler ({} fan-outs)",
+        "batched calls must be dispatched to the shard workers ({} fan-outs)",
         stats.scheduled_batches
     );
     assert_eq!(stats.rollup.inserts, threads * rounds * 32);
